@@ -24,7 +24,7 @@ from .admissible import (
     generate_Qa,
     predicted_density,
 )
-from .certify import CertConclusion, certify, certify_via_qa, selmer_table_lookup
+from .certify import CertConclusion, certify, selmer_table_lookup
 from .curve_count import fast_count, naive_count, torsion3_trivial
 from .eisenstein import solve_norm_equation, split_in_K
 from .local_kummer import KummerLocalType, PlaceOfK, classify_place, selmer_stability_report
@@ -48,7 +48,6 @@ __all__ = [
     "KummerLocalType",
     "PlaceOfK",
     "certify",
-    "certify_via_qa",
     "selmer_table_lookup",
     "CertConclusion",
 ]

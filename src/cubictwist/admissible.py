@@ -237,6 +237,8 @@ def enumerate_m(a: int, bound: int, threads: int = 1) -> list[int]:
     def extend(idx: int, acc: int) -> None:
         for i in range(idx, len(primes)):
             p = primes[i]
+            if acc * p > bound:
+                break  # primes ascend, so every later prime overshoots too
             for e in (1, 2):
                 v = acc * p**e
                 if v > bound:

@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from importlib import resources
 
-from .admissible import a_admissible, in_Ma, in_Qa
+from .admissible import a_admissible, in_Ma
 from .factorint import factorize
 from .ff_arith import _is_cube_raw
 from .local_kummer import StabilityReport, selmer_stability_report
@@ -69,7 +69,6 @@ class CertCheck:
 class CertReport:
     a: int
     m: int
-    route: str  # "ma" or "qa"
     checks: tuple[CertCheck, ...]
     conclusion: CertConclusion
     conclusion_detail: str
@@ -159,9 +158,18 @@ def _selmer_check(a: int, selmer_assertion: bool | None) -> tuple[CertCheck, boo
     )
 
 
-def _certify_common(
-    a: int, m: int, selmer_assertion: bool | None, route: str
-) -> CertReport:
+def certify(a: int, m: int, selmer_assertion: bool | None = None) -> CertReport:
+    """Certify rank 0 for the cubic twists of E_a by m^2 and m^4.
+
+    selmer_assertion supplies Sel_3(E_a/K) = 0 (True) or != 0 (False)
+    for coefficients outside the embedded table; inside the table it is
+    ignored. The report itemizes every hypothesis.
+
+    >>> certify(-1, 19).conclusion
+    <CertConclusion.CERTIFIED: 'Certified'>
+    >>> certify(-1, 4).conclusion
+    <CertConclusion.NOT_CERTIFIED: 'NotCertified'>
+    """
     if a == 0:
         raise ValueError("a must be nonzero")
     if m == 0:
@@ -190,7 +198,6 @@ def _certify_common(
         return CertReport(
             a=a,
             m=m,
-            route=route,
             checks=tuple(checks),
             conclusion=conclusion,
             conclusion_detail=detail,
@@ -240,15 +247,6 @@ def _certify_common(
         )
 
     if mf is not None:
-        if route == "qa":
-            outside = sorted(p for p in mf if not in_Qa(a, p))
-            checks.append(
-                CertCheck(
-                    "all_prime_factors_in_Qa",
-                    not outside,
-                    "" if not outside else f"primes outside Q_a: {outside}",
-                )
-            )
         outside_ma = sorted(p for p in mf if not in_Ma(a, p))
         checks.append(
             CertCheck(
@@ -312,7 +310,6 @@ def _certify_common(
     return CertReport(
         a=a,
         m=m,
-        route=route,
         checks=tuple(checks),
         conclusion=conclusion,
         conclusion_detail=detail,
@@ -320,27 +317,3 @@ def _certify_common(
         notes=tuple(notes),
         stability=stability,
     )
-
-
-def certify(a: int, m: int, selmer_assertion: bool | None = None) -> CertReport:
-    """Certify rank 0 for the cubic twists of E_a by m^2 and m^4.
-
-    selmer_assertion supplies Sel_3(E_a/K) = 0 (True) or != 0 (False)
-    for coefficients outside the embedded table; inside the table it is
-    ignored. The report itemizes every hypothesis.
-
-    >>> certify(-1, 19).conclusion
-    <CertConclusion.CERTIFIED: 'Certified'>
-    >>> certify(-1, 4).conclusion
-    <CertConclusion.NOT_CERTIFIED: 'NotCertified'>
-    """
-    return _certify_common(a, m, selmer_assertion, route="ma")
-
-
-def certify_via_qa(a: int, m: int, selmer_assertion: bool | None = None) -> CertReport:
-    """Certify through Q_a membership of every prime factor of m.
-
-    Q_a membership implies all the route-"ma" hypotheses at once; the
-    report carries the extra all_prime_factors_in_Qa check.
-    """
-    return _certify_common(a, m, selmer_assertion, route="qa")

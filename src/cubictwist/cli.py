@@ -179,7 +179,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     payload = {
         "a": report.a,
         "m": report.m,
-        "route": report.route,
+        "route": "ma",  # M_a membership is the only route; the schema keeps the field
         "conclusion": report.conclusion.value,
         "conclusion_detail": report.conclusion_detail,
         "conditional": report.conditional,

@@ -1,12 +1,16 @@
 """Point counting and 3-torsion tests for y^2 = x^3 + a over F_ell.
 
 These curves have j-invariant 0 and complex multiplication by Z[zeta_3],
-which buys two shortcuts:
+so both questions have closed forms (Ireland & Rosen, A Classical
+Introduction to Modern Number Theory, ch. 18 sec. 3):
 
 * ell = 2 mod 3 is always supersingular: #E(F_ell) = ell + 1, trace 0.
-* ell = 1 mod 3: writing 4*ell = L^2 + 27*M^2, the Frobenius trace lies
-  in {+-L, (+-L +- 9M)/2}; a handful of random-point order checks pin
-  down which. That gives O(log ell) counting instead of O(ell).
+* ell = 1 mod 3: with ell = pi * conj(pi), pi primary in Z[zeta_3],
+  #E_a(F_ell) = ell + 1 + conj(chi)*pi + chi*conj(pi), where chi is the
+  sextic residue symbol (4a/pi)_6. pi comes from the norm equation
+  4*ell = L^2 + 27*M^2, so the count costs O(log ell) instead of O(ell).
+* 3-torsion: for ell = 1 mod 3 an F_ell-point of order 3 exists iff a
+  is a square mod ell; for ell = 2 mod 3 it always exists.
 
 The naive enumerating counter stays as the oracle the fast path is
 tested against.
@@ -14,14 +18,11 @@ tested against.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
-from .eisenstein import solve_norm_equation
-from .factorint import factorize, is_perfect_square
-from .ff_arith import _legendre_raw, _is_cube_raw, is_prime, sqrt_mod
+from .eisenstein import EisensteinInt, solve_norm_equation
+from .ff_arith import _legendre_raw, is_prime
 
 
 class BadReductionError(ValueError):
@@ -43,18 +44,6 @@ class CurveParam:
     def __post_init__(self) -> None:
         if self.a == 0:
             raise ValueError("a must be nonzero (a = 0 is not an elliptic curve)")
-
-    @cached_property
-    def is_square(self) -> bool:
-        return is_perfect_square(self.a)
-
-    @cached_property
-    def is_minus3_square(self) -> bool:
-        return self.a < 0 and self.a % 3 == 0 and is_perfect_square(-self.a // 3)
-
-    @cached_property
-    def is_sixth_power_free(self) -> bool:
-        return all(e < 6 for e in factorize(self.a).values())
 
 
 @dataclass(frozen=True)
@@ -103,92 +92,42 @@ def naive_count(a: int | CurveParam, ell: int) -> TraceData:
     return TraceData(ell=ell, count=total, trace=ell + 1 - total, method=CountMethod.NAIVE)
 
 
-# ---------------------------------------------------------------------------
-# affine group law on y^2 = x^3 + a (the identity is None)
-
-_Point = tuple[int, int] | None
-
-
-def _ec_add(P: _Point, Q: _Point, ell: int) -> _Point:
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % ell == 0:
-            return None
-        lam = 3 * x1 * x1 * pow(2 * y1, ell - 2, ell) % ell
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, ell - 2, ell) % ell
-    x3 = (lam * lam - x1 - x2) % ell
-    return (x3, (lam * (x1 - x3) - y1) % ell)
-
-
-def _ec_mul(k: int, P: _Point, ell: int) -> _Point:
-    acc: _Point = None
-    add = P
-    while k:
-        if k & 1:
-            acc = _ec_add(acc, add, ell)
-        add = _ec_add(add, add, ell)
-        k >>= 1
-    return acc
-
-
-def _random_point(a: int, ell: int, rng: random.Random) -> tuple[int, int]:
-    while True:
-        x = rng.randrange(ell)
-        rhs = (x * x * x + a) % ell
-        if rhs == 0:
-            return (x, 0)
-        if _legendre_raw(rhs, ell) == 1:
-            y = sqrt_mod(rhs, ell)
-            return (x, y if rng.randrange(2) == 0 else ell - y)
-
-
-_PROBE_CAP = 64
-
-
-def _trace_candidates(ell: int) -> list[int]:
-    pair = solve_norm_equation(ell)
-    L, M = pair.L, pair.M
-    # L and M share parity (4*ell = L^2 + 27 M^2 mod 4), so the halves
-    # are integers.
-    cands = {L, -L, (L + 9 * M) // 2, -(L + 9 * M) // 2, (L - 9 * M) // 2, -(L - 9 * M) // 2}
-    return sorted(cands)
-
-
 def fast_count(a: int | CurveParam, ell: int, seed: int = 0) -> TraceData:
-    """CM point count: O(log ell) instead of the oracle's O(ell).
+    """CM point count in O(log ell), from the sextic residue symbol.
 
-    For ell = 2 mod 3 the curve is supersingular and the count is
-    ell + 1 outright. For ell = 1 mod 3 the candidate traces from the
-    norm equation are disambiguated by annihilation tests
-    (ell + 1 - t) * P = O on seeded random points P. Candidate orders
-    can share divisors (for a = -1, ell = 7 the group is Z/2 x Z/2 and
-    two candidates annihilate everything), so after _PROBE_CAP points
-    the naive oracle decides.
+    For ell = 2 mod 3 the curve is supersingular: #E = ell + 1. For
+    ell = 1 mod 3 write ell = pi * conj(pi) with pi = x + y*zeta primary
+    (pi = 2 mod 3); from 4*ell = L^2 + 27*M^2, pi = (L + 3M)/2 + 3M*zeta.
+    Then (Ireland & Rosen, A Classical Introduction to Modern Number
+    Theory, ch. 18 sec. 3)
+
+        #E_a(F_ell) = ell + 1 + conj(chi)*pi + chi*conj(pi),
+
+    chi = (4a/pi)_6 the sextic residue symbol, the unit congruent to
+    (4a)^((ell-1)/6) mod pi. Sending zeta to r = -x/y mod ell maps pi
+    to 0, so chi is the unit whose image in F_ell is that power, and
+    the trace is t = -Tr(conj(chi)*pi). The seed is accepted for
+    compatibility and does not affect the result.
     """
     curve = _as_curve(a)
     _check_good_reduction(curve.a, ell)
     if ell % 3 == 2:
         return TraceData(ell=ell, count=ell + 1, trace=0, method=CountMethod.SUPERSINGULAR)
 
-    candidates = _trace_candidates(ell)
-    aa = curve.a % ell
-    rng = random.Random(seed)
-    for _ in range(_PROBE_CAP):
-        if len(candidates) == 1:
-            t = candidates[0]
+    pair = solve_norm_equation(ell)
+    # L and M share parity (4*ell = L^2 + 27 M^2 mod 4), so x is an integer.
+    pi = EisensteinInt((pair.L + 3 * pair.M) // 2, 3 * pair.M)
+    r = -pi.x * pow(pi.y, -1, ell) % ell
+    power = pow(4 * curve.a, (ell - 1) // 6, ell)
+    # 1 + zeta = -zeta^2 generates the six units; its image is 1 + r.
+    unit, image = EisensteinInt(1, 0), 1
+    for _ in range(6):
+        if image == power:
+            z = unit.conjugate() * pi
+            t = -(2 * z.x - z.y)  # Tr(x + y*zeta) = 2x - y
             return TraceData(ell=ell, count=ell + 1 - t, trace=t, method=CountMethod.CM_NORM_EQUATION)
-        P = _random_point(aa, ell, rng)
-        candidates = [t for t in candidates if _ec_mul(ell + 1 - t, P, ell) is None]
-    if len(candidates) == 1:
-        t = candidates[0]
-        return TraceData(ell=ell, count=ell + 1 - t, trace=t, method=CountMethod.CM_NORM_EQUATION)
-    return naive_count(curve, ell)  # shared-divisor orders: let the oracle decide
+        unit, image = unit * EisensteinInt(1, 1), image * (1 + r) % ell
+    raise ArithmeticError(f"(4*{curve.a})^(({ell}-1)/6) is not a sixth root of unity mod {ell}")
 
 
 def torsion3_trivial(a: int | CurveParam, ell: int) -> bool:
@@ -199,10 +138,11 @@ def torsion3_trivial(a: int | CurveParam, ell: int) -> bool:
 
     ell = 1 mod 3: the 3-division polynomial of y^2 = x^3 + a factors
     as 3x(x^3 + 4a), so an order-3 point exists over F_ell iff x = 0
-    gives a point (a is a square) or some root of x^3 = -4a gives one
-    (-4a is a cube and the matching y^2 = x^3 + a = -3a is a square).
-    This criterion was validated against the counting oracle on the
-    full small grid before being trusted here.
+    gives one (a is a square) or a root of x^3 = -4a does (-4a is a
+    cube and y^2 = -3a is solvable). Since -3 is a square mod ell, the
+    second case needs a to be a square as well, so the test reduces to
+    the Legendre symbol: trivial iff (a/ell) = -1 (Ireland & Rosen,
+    ch. 18 sec. 3).
     """
     curve = _as_curve(a)
     _check_good_reduction(curve.a, ell)
@@ -211,26 +151,4 @@ def torsion3_trivial(a: int | CurveParam, ell: int) -> bool:
 
 def _torsion3_trivial_raw(a: int, ell: int) -> bool:
     # Hot-path variant: ell already known prime, ell does not divide 6a.
-    if ell % 3 == 2:
-        return False
-    if _legendre_raw(a, ell) == 1:
-        return False
-    if _is_cube_raw(-4 * a % ell, ell) and _legendre_raw(-3 * a, ell) == 1:
-        return False
-    return True
-
-
-def twist_count_check(a: int | CurveParam, m: int, ell: int) -> bool:
-    """Cross-validation: cube twists by a cube are isomorphic over F_ell.
-
-    When m is a cube mod ell, E_a and E_{m^2 a} are isomorphic over
-    F_ell, so their counts must agree; returns that comparison (and
-    True vacuously when m is not a cube mod ell).
-    """
-    curve = _as_curve(a)
-    _check_good_reduction(curve.a * m, ell)
-    if not _is_cube_raw(m % ell, ell):
-        return True
-    base = fast_count(curve, ell).count
-    twisted = fast_count(CurveParam(m * m * curve.a), ell).count
-    return base == twisted
+    return ell % 3 == 1 and _legendre_raw(a, ell) == -1

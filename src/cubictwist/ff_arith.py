@@ -63,43 +63,11 @@ class PrimeModulus:
         return self.p
 
 
-@dataclass(frozen=True)
-class ResidueClass:
-    """An element of F_p, stored as its canonical representative in [0, p)."""
-
-    value: int
-    modulus: PrimeModulus
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.modulus.p:
-            raise ValueError(
-                f"residue {self.value} outside [0, {self.modulus.p})"
-            )
-
-    @classmethod
-    def of(cls, x: int, p: int | PrimeModulus) -> "ResidueClass":
-        m = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
-        return cls(x % m.p, m)
-
-
 def _as_prime(p: int | PrimeModulus) -> int:
     """Coerce to a validated prime int."""
     if isinstance(p, PrimeModulus):
         return p.p
     return PrimeModulus(p).p
-
-
-def mod_pow(base: ResidueClass, exp: int) -> ResidueClass:
-    """base**exp in F_p. exp must be nonnegative.
-
-    >>> mod_pow(ResidueClass.of(2, 7), 3).value
-    1
-    >>> mod_pow(ResidueClass.of(5, 7), 2).value
-    4
-    """
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return ResidueClass(pow(base.value, exp, base.modulus.p), base.modulus)
 
 
 def legendre_symbol(x: int, p: int | PrimeModulus) -> int:
@@ -184,21 +152,3 @@ def sqrt_mod(a: int, p: int) -> int:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
-
-
-def is_cube_in_Fq2(x: int, q: int | PrimeModulus) -> bool:
-    """True iff x (rational, coprime to q) is a cube in F_{q**2}^x.
-
-    Only defined for q = 2 mod 3 — the case where q stays inert in
-    Q(zeta_3) and the residue field of the completion is F_{q**2}. The
-    answer is always True for rational x: the cube subgroup has index 3
-    in a cyclic group of order q**2 - 1, and
-    x**((q**2-1)/3) = (x**(q-1))**((q+1)/3) = 1 by Fermat. The function
-    exists so that fact is executable and tested rather than assumed.
-    """
-    qq = _as_prime(q)
-    if qq % 3 != 2:
-        raise ValueError("is_cube_in_Fq2 requires q = 2 mod 3 (q inert in Q(zeta_3))")
-    if x % qq == 0:
-        raise ValueError(f"{x} is not a unit mod {qq}")
-    return pow(x % qq, (qq - 1) * ((qq + 1) // 3), qq) == 1

@@ -8,9 +8,7 @@ pure local arithmetic:
   split iff the unit part of m is a cube in the completion's residue
   field (always true in the inert quadratic completions for rational m).
 * v above 3 (the wild place w = 1 - zeta): m = +-1 mod 9 forces split;
-  otherwise rationals are ramified, decided here by honest enumeration
-  of unit cubes mod w^3 (and mod w^5 for the split/inert split of
-  non-rational-shaped unramified inputs).
+  otherwise m is not a unit cube mod w^3 and the place ramifies.
 
 The stability report then itemizes, for a curve coefficient a, exactly
 which places constrain the 3-Selmer group's vanishing in L_m and
@@ -25,7 +23,7 @@ from enum import Enum
 from .curve_count import _torsion3_trivial_raw
 from .eisenstein import EisensteinInt, is_unit_cube_mod_w_power
 from .factorint import cubefree_core, factorize, prime_divisors
-from .ff_arith import _is_cube_raw, is_cube_in_Fq2, is_prime
+from .ff_arith import _is_cube_raw, is_prime
 
 
 class KummerLocalType(Enum):
@@ -91,8 +89,8 @@ def classify_place_detailed(v: PlaceOfK, m: int) -> tuple[KummerLocalType, tuple
             if _is_cube_raw(core % ell, ell):
                 return KummerLocalType.SPLIT, ("unit part is a cube mod ell",)
             return KummerLocalType.INERT, ("unit part is a non-cube mod ell",)
-        # inert residue field F_{ell^2}: rational units are always cubes
-        assert is_cube_in_Fq2(core, ell)
+        # inert residue field F_{ell^2}: a rational unit x has
+        # x^((ell^2-1)/3) = (x^(ell-1))^((ell+1)/3) = 1, so it is a cube
         return KummerLocalType.SPLIT, ("rational units are cubes in F_{ell^2}",)
 
     # v above 3: the wild place w = 1 - zeta
@@ -102,17 +100,11 @@ def classify_place_detailed(v: PlaceOfK, m: int) -> tuple[KummerLocalType, tuple
     if core % 9 in (1, 8):
         # m^2 = 1 mod 9 puts m in the principal units' cubes: split
         return KummerLocalType.SPLIT, ("m = +-1 mod 9",)
-    u = EisensteinInt(core, 0)
-    if not is_unit_cube_mod_w_power(u, 3):
+    # The rational unit cubes mod w^3 are exactly the classes +-1 mod 9
+    # handled above, so every other unit ramifies here.
+    if not is_unit_cube_mod_w_power(EisensteinInt(core, 0), 3):
         return KummerLocalType.RAMIFIED, ("m is not a unit cube mod w^3",)
-    # Unramified but not covered by the mod-9 criterion: cannot happen
-    # for rational m (unit cubes mod w^3 are exactly +-1), but the
-    # split/inert decision is still made exactly, at higher precision:
-    # a unit cube mod w^5 lifts to a true cube by Hensel's lemma
-    # (5 > 2*v_w(3) = 4).
-    if is_unit_cube_mod_w_power(u, 5):
-        return KummerLocalType.SPLIT, ("extended-precision classification (cube mod w^5)",)
-    return KummerLocalType.INERT, ("extended-precision classification (non-cube mod w^5)",)
+    raise ArithmeticError(f"{core} is a unit cube mod w^3 but not +-1 mod 9")
 
 
 def places_above(ell: int) -> list[PlaceOfK]:

@@ -1,6 +1,7 @@
 """Admissible coefficients, the prime families M_a / Q_a, and densities."""
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,6 +155,37 @@ def test_enumerate_m_properties():
             if set(ps) <= qa and is_cubefree(m):
                 brute.append(m)
         assert enumerate_m(a, 5000) == brute
+
+
+def test_enumerate_m_work_is_linear_in_output():
+    # The recursion must stop scanning primes once acc * p passes the
+    # bound; otherwise every node walks the rest of Q_a and the work is
+    # #m * #Q_a (seconds at 10^6, minutes at 10^7). Count line events in
+    # the recursion, not wall time, and abort past a budget linear in
+    # the output size.
+    expected = enumerate_m(-1, 10**6)
+    budget = 40 * (len(expected) + 1)  # about 16 line events per value
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines > budget:
+                raise RuntimeError(f"enumerate_m recursion exceeded {budget} line events")
+        return count_lines
+
+    def trace_extend(frame, event, arg):
+        return count_lines if frame.f_code.co_name == "extend" else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_extend)
+    try:
+        got = enumerate_m(-1, 10**6)
+    finally:
+        sys.settrace(previous)
+    assert got == expected
+    assert lines > len(expected)  # the tracer did see the recursion
 
 
 def test_enumerate_m_trivial_bounds():

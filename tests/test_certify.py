@@ -7,7 +7,6 @@ from cubictwist.certify import (
     CertCheck,
     CertConclusion,
     certify,
-    certify_via_qa,
     conclude,
     selmer_table_lookup,
     trivial_selmer_coefficients,
@@ -55,7 +54,6 @@ def test_table_has_34_rows():
 def test_certify_basic_positive():
     rep = certify(-1, 19)
     assert rep.conclusion is CertConclusion.CERTIFIED
-    assert rep.route == "ma"
     assert not rep.conditional
     assert rep.failed_checks == ()
     assert rep.stability is not None and rep.stability.all_hold
@@ -152,23 +150,16 @@ def test_conclude_precedence():
 def test_qa_route_agrees_on_enumerated_m():
     for a in (-1, 7):
         for m in enumerate_m(a, 1500):
-            via_ma = certify(a, m)
-            via_qa = certify_via_qa(a, m)
-            assert via_ma.conclusion is CertConclusion.CERTIFIED
-            assert via_qa.conclusion is CertConclusion.CERTIFIED
-            assert via_qa.route == "qa"
+            assert certify(a, m).conclusion is CertConclusion.CERTIFIED
 
 
 def test_ma_route_strictly_wider():
     # m = 217 = 7 * 31: both factors in M_{-1}, product 1 mod 9, but
-    # 7 = 7 mod 18 is not in Q_{-1}. The M-route certifies, the
-    # Q-route (whose prime condition is stronger) does not.
+    # 7 = 7 mod 18 is not in Q_{-1}. The M-route certifies m, which the
+    # Q_a products of enumerate_m do not reach.
     qa_primes = {r.ell for r in generate_Qa(-1, 250)}
     assert 7 not in qa_primes and 31 not in qa_primes
     assert certify(-1, 217).conclusion is CertConclusion.CERTIFIED
-    rep = certify_via_qa(-1, 217)
-    assert rep.conclusion is CertConclusion.NOT_CERTIFIED
-    assert "all_prime_factors_in_Qa" in rep.failed_checks
     assert 217 not in enumerate_m(-1, 250)
 
 

@@ -93,6 +93,7 @@ def test_certify_json_payload(capsys):
     )
     assert code == 0
     res = json.loads(out)["result"]
+    assert res["route"] == "ma"
     assert res["conclusion"] == "Certified"
     assert res["conditional"] is False
     names = [c["name"] for c in res["checks"]]

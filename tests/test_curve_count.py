@@ -8,6 +8,8 @@ evidence, not tautology.
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubictwist.curve_count import (
     BadReductionError,
@@ -17,12 +19,13 @@ from cubictwist.curve_count import (
     fast_count,
     naive_count,
     torsion3_trivial,
-    twist_count_check,
 )
 from cubictwist.eisenstein import solve_norm_equation
-from cubictwist.ff_arith import is_prime, legendre_symbol
+from cubictwist.ff_arith import is_cube_mod, is_prime, legendre_symbol
+from cubictwist.sieve import simple_sieve
 
 PRIMES = [p for p in range(5, 600) if is_prime(p)]
+PRIMES_1E5 = [int(p) for p in simple_sieve(10**5) if p >= 5]
 
 
 def oracle_count(a, ell):
@@ -117,6 +120,7 @@ def test_fast_count_seed_independent():
     for seed in (0, 1, 7, 123456):
         assert fast_count(-1, 19, seed=seed).count == 28
         assert fast_count(6, 1009, seed=seed).count == fast_count(6, 1009).count
+        assert fast_count(-1, 7, seed=seed) == fast_count(-1, 7)
 
 
 def test_known_counts():
@@ -126,6 +130,9 @@ def test_known_counts():
     assert fast_count(-14, 19).count == 27
     assert fast_count(7, 19).count == 12
     assert fast_count(2, 5).count == 6
+    # the group is Z/2 x Z/2, so point orders cannot separate the
+    # candidate traces; the closed form needs no O(ell) oracle here
+    assert fast_count(-1, 7).method is CountMethod.CM_NORM_EQUATION
 
 
 def test_bad_reduction_rejected():
@@ -139,13 +146,7 @@ def test_bad_reduction_rejected():
         fast_count(-1, 15)  # composite modulus
 
 
-def test_curve_param_flags():
-    assert CurveParam(4).is_square
-    assert not CurveParam(-4).is_square
-    assert CurveParam(-12).is_minus3_square
-    assert not CurveParam(12).is_minus3_square
-    assert CurveParam(12).is_sixth_power_free
-    assert not CurveParam(64).is_sixth_power_free
+def test_curve_param_rejects_zero():
     with pytest.raises(ValueError):
         CurveParam(0)
 
@@ -217,6 +218,20 @@ def primitive_root(ell):
     raise AssertionError("no primitive root found")
 
 
+def twist_count_check(a, m, ell):
+    """Oracle: cube twists by a cube are isomorphic over F_ell.
+
+    When m is a cube mod ell, E_a and E_{m^2 a} are isomorphic over
+    F_ell, so their counts must agree; returns that comparison (and
+    True vacuously when m is not a cube mod ell).
+    """
+    if (6 * a * m) % ell == 0:
+        raise BadReductionError(f"ell = {ell} divides 6am")
+    if not is_cube_mod(m, ell):
+        return True
+    return fast_count(a, ell).count == fast_count(m * m * a, ell).count
+
+
 def test_twist_count_check():
     # 19 is in M_{-1}; m = 19 against a = -1 at a good prime
     assert twist_count_check(-1, 19, 7)
@@ -231,3 +246,27 @@ def test_accepts_curve_param_objects():
     c = CurveParam(-1)
     assert fast_count(c, 19).count == fast_count(-1, 19).count
     assert torsion3_trivial(c, 7) == torsion3_trivial(-1, 7)
+
+
+@st.composite
+def good_reduction_pairs(draw):
+    a = draw(st.integers(-10**6, 10**6).filter(bool))
+    ell = draw(st.sampled_from(PRIMES_1E5))
+    assume((6 * a) % ell != 0)
+    return a, ell
+
+
+@settings(max_examples=40, deadline=None)
+@given(good_reduction_pairs())
+def test_fast_count_matches_naive_property(pair):
+    a, ell = pair
+    fast, naive = fast_count(a, ell), naive_count(a, ell)
+    assert (fast.count, fast.trace) == (naive.count, naive.trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(good_reduction_pairs())
+def test_torsion3_trivial_matches_naive_property(pair):
+    # E(F_ell) has a point of order 3 iff 3 divides its order (Cauchy)
+    a, ell = pair
+    assert torsion3_trivial(a, ell) == (naive_count(a, ell).count % 3 != 0)
