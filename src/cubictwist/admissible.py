@@ -15,6 +15,14 @@ number of prime divisors of a congruent to 1 mod 3 — and an empirical
 estimate from an honest sieve so the two can be compared. The shipped
 constant is not the density of Q_a: for admissible a, Q_a has Dirichlet
 density 1/(4 * 3^(s+1)), twice as large (README, "Known discrepancy").
+
+Q_a membership of a prime depends only on its class mod
+N = lcm(36, 4|a|), so the empirical count looks each sieved prime up in
+a boolean table of those classes, built once per call. When N is large
+(above `_TABLE_CAP`, or above limit / 8) the table would cost more than
+it saves, and the count falls back to `_qa_conditions` per prime. The
+listings (`generate_Qa`, `generate_Ma`) check each prime with
+`_qa_conditions`, since they report its reasons.
 """
 
 from __future__ import annotations
@@ -28,9 +36,18 @@ from fractions import Fraction
 import numpy as np
 
 from .curve_count import _torsion3_trivial_raw
-from .factorint import factorize, is_perfect_square, prime_divisors
-from .ff_arith import _is_cube_raw, is_prime
+from .factorint import is_perfect_square, prime_divisors
+from .ff_arith import _is_cube_raw, _jacobi_raw, is_prime
 from .sieve import SEGMENT_SIZE, primes_in_segment, segment_bounds, simple_sieve
+
+# Most classes the density table may have: 4 MB of bools. Building it
+# takes one step per class = 1 mod 18, n/18 steps; the per-prime loop it
+# replaces takes one _qa_conditions call, of about the same cost, per
+# prime = 1 mod 18 up to limit, about limit / (6 log limit) calls. So the
+# table is also held to n <= limit / 8, which keeps n/18 below that count
+# for every limit < e^24. (At limit 10^7 and n just below limit / 8, the
+# build took about half the time of the loop.)
+_TABLE_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -152,7 +169,7 @@ def _ma_conditions(a: int, ell: int) -> tuple[bool, dict]:
 
 def _segments(limit: int, threads: int) -> Iterator[np.ndarray]:
     """Prime segments in deterministic order, optionally sieved in a pool."""
-    base = simple_sieve(math.isqrt(limit))
+    base = simple_sieve(math.isqrt(max(limit, 0)))
     bounds = segment_bounds(limit, SEGMENT_SIZE)
     if threads <= 1 or len(bounds) <= 1:
         for lo, hi in bounds:
@@ -202,19 +219,6 @@ def generate_Ma(a: int, limit: int, threads: int = 1) -> list[AdmissiblePrimeRec
     return out
 
 
-def in_Qa(a: int, ell: int) -> bool:
-    """Membership test for a single candidate (no sieve).
-
-    Composites are rejected outright: the families only ever contain
-    primes, even though the congruence conditions alone would let
-    numbers like 49 or 55 through.
-    """
-    if not is_prime(ell):
-        return False
-    ok, _ = _qa_conditions(a, ell, prime_divisors(a))
-    return ok
-
-
 def in_Ma(a: int, ell: int) -> bool:
     if not is_prime(ell):
         return False
@@ -250,8 +254,34 @@ def enumerate_m(a: int, bound: int, threads: int = 1) -> list[int]:
     return sorted(out)
 
 
+def _qa_table(a: int, qs: list[int], n: int) -> np.ndarray:
+    """Q_a membership of a prime ell by its class r = ell mod n.
+
+    n = lcm(36, 4|a|). ell = 1 mod 18 and the cube conditions depend on
+    ell mod 18q, and for ell = 1 mod 3 the torsion condition (a/ell) = -1
+    is the Jacobi symbol (a/r), which depends only on ell mod 4|a|. A
+    class r = 1 mod 18 sharing a factor with n shares it with a, so
+    (a/r) = 0 rejects it, as _qa_conditions rejects the primes dividing a.
+    """
+    cube_qs = [q for q in qs if q % 3 == 1]
+    table = np.zeros(n, dtype=bool)
+    table[
+        [
+            r
+            for r in range(1, n, 18)
+            if all(_is_cube_raw(r % q, q) for q in cube_qs) and _jacobi_raw(a, r) == -1
+        ]
+    ] = True
+    return table
+
+
 def empirical_density(a: int, limit: int, threads: int = 1) -> DensityReport:
     """Measure #(Q_a up to limit) / pi(limit) against the shipped constant.
+
+    Members are counted by looking up each sieved prime in the class
+    table of `_qa_table`, built once per call. Above `_TABLE_CAP` classes,
+    or above limit / 8 of them, the table would cost more than it saves,
+    and each prime = 1 mod 18 goes through `_qa_conditions` instead.
 
     `predicted` and `deviation` refer to `predicted_density(a)`. For
     admissible a the empirical value tends to 1/(4 * 3^(s+1)), twice
@@ -260,15 +290,16 @@ def empirical_density(a: int, limit: int, threads: int = 1) -> DensityReport:
     if a == 0:
         raise ValueError("a must be nonzero")
     qs = prime_divisors(a)
-    # counting pass: total primes per segment via len(), members via checks
+    n = math.lcm(36, 4 * abs(a))
+    table = _qa_table(a, qs, n) if n <= min(_TABLE_CAP, limit // 8) else None
     total = 0
     members = 0
     for seg in _segments(limit, threads):
         total += len(seg)
-        for ell in seg[seg % 18 == 1]:
-            ok, _ = _qa_conditions(a, int(ell), qs)
-            if ok:
-                members += 1
+        if table is not None:
+            members += int(np.count_nonzero(table[seg % n]))
+        else:
+            members += sum(_qa_conditions(a, int(ell), qs)[0] for ell in seg[seg % 18 == 1])
     predicted = predicted_density(a)
     empirical = Fraction(members, total) if total else Fraction(0)
     return DensityReport(

@@ -30,8 +30,9 @@ from .admissible import (
     generate_Ma,
     generate_Qa,
 )
-from .certify import CertConclusion, certify, selmer_table_lookup, _load_table
+from .certify import _M_RANGE_CAP, CertConclusion, certify, selmer_table_lookup, _load_table
 from .curve_count import BadReductionError, fast_count, naive_count
+from .ff_arith import MODULUS_CAP
 from .local_kummer import classify_place_detailed, places_above
 
 LIMIT_CEILING = 10**8
@@ -82,11 +83,16 @@ def _emit_csv(rows: list[dict]) -> None:
     print(buf.getvalue(), end="")
 
 
-def _check_limit(limit: int, allow_large: bool) -> None:
+def _check_limit(limit: int, allow_large: bool, name: str = "limit") -> None:
     if limit > LIMIT_CEILING and not allow_large:
         raise _fail(
-            f"limit {limit} exceeds the {LIMIT_CEILING} ceiling; pass --allow-large to override"
+            f"{name} {limit} exceeds the {LIMIT_CEILING} ceiling; pass --allow-large to override"
         )
+
+
+def _check_ell(ell: int) -> None:
+    if ell >= MODULUS_CAP:
+        raise _fail(f"ell {ell} >= 2^62: outside the range where the primality test is proven")
 
 
 def _prime_record_row(rec) -> dict:
@@ -228,6 +234,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     if args.a == 0:
         raise _fail("a must be nonzero")
+    _check_ell(args.ell)
+    if args.method == "naive":
+        # the naive count allocates a list of ell entries
+        _check_limit(args.ell, args.allow_large, name="ell")
     try:
         if args.method == "naive":
             data = naive_count(args.a, args.ell)
@@ -254,6 +264,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    _check_ell(args.ell)
+    if abs(args.m) >= _M_RANGE_CAP:
+        raise _fail("|m| >= 2^64: outside the supported factorization range")
     try:
         places = places_above(args.ell)
         verdicts = [(p, *classify_place_detailed(p, args.m)) for p in places]
@@ -380,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--ell", type=int, required=True)
     count.add_argument("--method", choices=("fast", "naive"), default="fast")
     count.add_argument("--seed", type=int, default=0)
+    count.add_argument("--allow-large", action="store_true")
     _add_common(count, threads=False)
 
     cls = subs.add_parser("classify", help="splitting type of the places above ell in K(m^(1/3))")

@@ -96,6 +96,24 @@ def _legendre_raw(x: int, p: int) -> int:
     return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
 
 
+def _jacobi_raw(x: int, n: int) -> int:
+    # Hot-path variant: n odd and positive. The Jacobi symbol (x/n) is
+    # multiplicative in n and equals _legendre_raw for prime n; for fixed
+    # x it depends only on n mod 4|x| (Ireland & Rosen, ch. 5 sec. 2).
+    x %= n
+    sign = 1
+    while x:
+        while x % 2 == 0:
+            x //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        x, n = n, x
+        if x % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        x %= n
+    return sign if n == 1 else 0
+
+
 def is_cube_mod(x: int, q: int | PrimeModulus) -> bool:
     """True iff x is a cube in F_q^x. Errors if q divides x.
 

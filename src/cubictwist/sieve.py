@@ -8,7 +8,6 @@ order — output never depends on scheduling.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -50,25 +49,3 @@ def primes_in_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
         start = max(p * p, ((lo + p - 1) // p) * p)
         flags[start - lo :: p] = False
     return (np.nonzero(flags)[0] + lo).astype(np.int64)
-
-
-def iter_prime_segments(
-    limit: int, segment_size: int = SEGMENT_SIZE
-) -> Iterator[np.ndarray]:
-    """Yield primes <= limit, one array per segment, in order."""
-    base = simple_sieve(math.isqrt(limit))
-    for lo, hi in segment_bounds(limit, segment_size):
-        yield primes_in_segment(lo, hi, base)
-
-
-def primes_up_to(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
-    """All primes <= limit (segmented under the hood)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    parts = list(iter_prime_segments(limit, segment_size))
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
-def prime_count(limit: int, segment_size: int = SEGMENT_SIZE) -> int:
-    """pi(limit), the number of primes <= limit."""
-    return sum(len(seg) for seg in iter_prime_segments(limit, segment_size))

@@ -1,13 +1,20 @@
 """Admissible coefficients, the prime families M_a / Q_a, and densities."""
 
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubictwist import admissible
 from cubictwist.admissible import (
+    _qa_conditions,
+    _qa_table,
     a_admissible,
     compute_s,
     density_warnings,
@@ -16,12 +23,12 @@ from cubictwist.admissible import (
     generate_Ma,
     generate_Qa,
     in_Ma,
-    in_Qa,
     predicted_density,
 )
 from cubictwist.curve_count import torsion3_trivial
-from cubictwist.factorint import is_cubefree, prime_divisors
-from cubictwist.ff_arith import is_cube_mod
+from cubictwist.factorint import factorize, is_cubefree, prime_divisors
+from cubictwist.ff_arith import is_cube_mod, is_prime
+from cubictwist.sieve import primes_in_segment, simple_sieve
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "qa_minus14_10000.json").read_text())
 
@@ -114,10 +121,11 @@ def test_ma_membership_conditions():
 
 def test_in_Qa_in_Ma_agree_with_lists():
     a = 7
+    qs = prime_divisors(a)
     qa = {r.ell for r in generate_Qa(a, 2000)}
     ma = {r.ell for r in generate_Ma(a, 2000)}
     for ell in range(2, 2000):
-        assert in_Qa(a, ell) == (ell in qa)
+        assert (is_prime(ell) and _qa_conditions(a, ell, qs)[0]) == (ell in qa)
         assert in_Ma(a, ell) == (ell in ma)
 
 
@@ -204,6 +212,78 @@ def test_empirical_density_small_limit_manual():
     assert rep.warnings == ()
 
 
+def test_empirical_density_below_two_counts_nothing():
+    for limit in (-5, 0, 1):
+        rep = empirical_density(-1, limit)
+        assert (rep.primes_total, rep.primes_in_qa, rep.empirical) == (0, 0, 0)
+
+
 def test_empirical_density_warns_on_inadmissible():
     rep = empirical_density(4, 1000)
     assert rep.warnings
+
+
+# --- the class table behind empirical_density ------------------------------------
+
+
+def table_count(a, limit):
+    """#Q_a up to limit, looked up prime by prime in a's class table."""
+    n = math.lcm(36, 4 * abs(a))
+    table = _qa_table(a, prime_divisors(a), n)
+    primes = primes_in_segment(2, limit + 1, simple_sieve(math.isqrt(limit)))
+    return int(np.count_nonzero(table[primes % n]))
+
+
+def totient(n):
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(n).items())
+
+
+@pytest.mark.parametrize("limit", [10**3, 10**5 + 17])
+def test_class_table_count_equals_per_prime_loop(limit):
+    # every a with 1 <= |a| <= 60, admissible or not
+    for a in [s * k for k in range(1, 61) for s in (1, -1)]:
+        assert table_count(a, limit) == len(generate_Qa(a, limit)), a
+
+
+def test_class_table_share_is_the_density_of_Qa():
+    # README "Known discrepancy", acceptance criterion 4: the good classes
+    # of (Z/N)^* make up exactly 1/(4 * 3^(s+1)) of them for admissible a,
+    # and none for a = n^2 or -3 n^2.
+    for a in [s * k for k in range(1, 61) for s in (1, -1)]:
+        n = math.lcm(36, 4 * abs(a))
+        share = Fraction(int(np.count_nonzero(_qa_table(a, prime_divisors(a), n))), totient(n))
+        want = Fraction(1, 4 * 3 ** (compute_s(a) + 1)) if a_admissible(a) else 0
+        assert share == want, a
+
+
+def test_density_makes_no_per_prime_call_below_the_cap(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _qa_conditions(*args)
+
+    monkeypatch.setattr(admissible, "_qa_conditions", counting)
+    for a in (-1, 7, -14, 13):
+        assert empirical_density(a, 10**5).primes_in_qa == table_count(a, 10**5)
+    assert calls == []
+    # N = 504 > 10^3 / 8: the table would cost more than the loop
+    assert empirical_density(-14, 10**3).primes_in_qa == table_count(-14, 10**3)
+    assert calls
+    calls.clear()
+    # above the cap the per-prime loop runs, and agrees with the table
+    monkeypatch.setattr(admissible, "_TABLE_CAP", 100)
+    assert empirical_density(-14, 10**5).primes_in_qa == table_count(-14, 10**5)
+    assert calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.one_of(st.integers(-100, 100), st.integers(-(10**7), 10**7)).filter(bool),
+    limit=st.one_of(st.integers(2, 2 * 10**5), st.integers(3 * 10**4, 2 * 10**5)),
+)
+def test_density_count_equals_loop_on_both_sides_of_the_cap(a, limit):
+    # N = lcm(36, 4|a|) is at most 3600 for |a| <= 100, under limit / 8
+    # for limit >= 3 * 10^4, so both the class table and the per-prime
+    # loop run.
+    assert empirical_density(a, limit).primes_in_qa == len(generate_Qa(a, limit))

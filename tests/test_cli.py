@@ -161,6 +161,39 @@ def test_classify_command(capsys):
     assert code == 1  # degenerate radicand
 
 
+def test_count_naive_refuses_ell_above_the_ceiling(capsys):
+    # the naive count allocates a list of ell entries
+    big = 100_000_039  # prime, 1 mod 3, just above the 10^8 ceiling
+    code, _, err = run_cli(["count", "--a", "-1", "--ell", str(big), "--method", "naive"], capsys)
+    assert code == 1
+    assert "ceiling" in err and "--allow-large" in err
+    code, out, _ = run_cli(["count", "--a", "-1", "--ell", str(big), "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["result"]["method"] == "cm-norm-equation"
+    code, _, _ = run_cli(["count", "--a", "-1", "--ell", "19", "--method", "naive", "--allow-large"], capsys)
+    assert code == 0
+
+
+def test_count_and_classify_refuse_ell_beyond_the_modulus_cap(capsys):
+    ell = 2**62 + 135
+    for argv in (
+        ["count", "--a", "-1", "--ell", str(ell)],
+        ["count", "--a", "-1", "--ell", str(ell), "--method", "naive", "--allow-large"],
+        ["classify", "--m", "19", "--ell", str(ell)],
+    ):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1, argv
+        assert "2^62" in err
+
+
+def test_classify_refuses_m_beyond_the_factorization_range(capsys):
+    for m in (2**64, -(2**64), 2**64 + 1):
+        code, _, err = run_cli(["classify", "--m", str(m), "--ell", "7"], capsys)
+        assert code == 1
+        assert "2^64" in err
+    code, _, _ = run_cli(["classify", "--m", str(2**64 - 1), "--ell", "7"], capsys)
+    assert code == 0
+
+
 def test_enumerate_m_csv(capsys):
     code, out, _ = run_cli(
         ["enumerate-m", "--a", "-1", "--bound", "400", "--format", "csv"], capsys

@@ -7,6 +7,8 @@ import pytest
 from cubictwist.ff_arith import (
     MODULUS_CAP,
     PrimeModulus,
+    _jacobi_raw,
+    _legendre_raw,
     is_cube_mod,
     is_prime,
     legendre_symbol,
@@ -185,3 +187,19 @@ def test_modulus_cap_enforced():
     with pytest.raises(ValueError):
         legendre_symbol(3, big)
     assert MODULUS_CAP == 1 << 62
+
+
+def test_jacobi_equals_legendre_on_odd_primes():
+    for p in PRIMES_500[1:]:
+        for x in range(-p, 2 * p):
+            assert _jacobi_raw(x, p) == _legendre_raw(x, p)
+
+
+def test_jacobi_is_multiplicative_in_the_denominator():
+    rng = random.Random(11)
+    odd = range(1, 2000, 2)
+    for _ in range(2000):
+        x, m, n = rng.randrange(-10**6, 10**6), rng.choice(odd), rng.choice(odd)
+        assert _jacobi_raw(x, m * n) == _jacobi_raw(x, m) * _jacobi_raw(x, n)
+    assert _jacobi_raw(5, 1) == 1
+    assert _jacobi_raw(3, 9) == 0

@@ -1,14 +1,6 @@
 import numpy as np
 
-from cubictwist.sieve import (
-    SEGMENT_SIZE,
-    iter_prime_segments,
-    prime_count,
-    primes_in_segment,
-    primes_up_to,
-    segment_bounds,
-    simple_sieve,
-)
+from cubictwist.sieve import SEGMENT_SIZE, primes_in_segment, segment_bounds, simple_sieve
 
 
 def reference_primes(n):
@@ -18,6 +10,17 @@ def reference_primes(n):
         if flags[i]:
             flags[i * i :: i] = False
     return np.flatnonzero(flags)
+
+
+def segments(limit, segment_size=SEGMENT_SIZE):
+    """Primes <= limit, one array per segment, as the library sieves them."""
+    base = simple_sieve(int(limit**0.5))
+    return [primes_in_segment(lo, hi, base) for lo, hi in segment_bounds(limit, segment_size)]
+
+
+def primes_up_to(limit, segment_size=SEGMENT_SIZE):
+    parts = segments(limit, segment_size)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def test_simple_sieve_matches_reference():
@@ -59,8 +62,7 @@ def test_primes_in_segment_boundaries():
 
 
 def test_iter_prime_segments_concatenation():
-    parts = list(iter_prime_segments(10_000, segment_size=informative_size()))
-    joined = np.concatenate(parts) if parts else np.array([], dtype=np.int64)
+    joined = primes_up_to(10_000, segment_size=informative_size())
     assert np.array_equal(joined, reference_primes(10_000))
 
 
@@ -69,6 +71,5 @@ def informative_size():
 
 
 def test_prime_count_known_values():
-    assert prime_count(10) == 4
-    assert prime_count(1000) == 168
-    assert prime_count(10**6) == 78498
+    for limit, pi in ((10, 4), (1000, 168), (10**6, 78498)):
+        assert sum(len(seg) for seg in segments(limit)) == pi
